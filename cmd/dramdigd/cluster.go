@@ -325,7 +325,6 @@ func (s *server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		lsp.End()
 	}
 
-	s.logf("campaign %s: leased to worker %s (attempt %d)", job.ID, req.Worker, job.Attempts)
 	s.logTransition(job.ID, "queued", "running",
 		"worker", req.Worker, "attempt", job.Attempts)
 	writeJSON(w, http.StatusOK, cluster.LeaseGrant{
@@ -439,7 +438,6 @@ func (s *server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.evictLocked()
 	s.mu.Unlock()
-	s.logf("campaign %s: completed by worker %s", id, req.Worker)
 	s.logTransition(id, "running", "done", "worker", req.Worker)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "done"})
 }
@@ -473,7 +471,6 @@ func (s *server) handleClusterFail(w http.ResponseWriter, r *http.Request) {
 		st.bumpLocked()
 		st.mu.Unlock()
 	}
-	s.logf("campaign %s: failed on worker %s: %s", id, req.Worker, req.Error)
 	s.logTransition(id, "running", "failed", "worker", req.Worker, "err", req.Error)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "failed"})
 }
@@ -543,11 +540,11 @@ func (s *server) handleGetWorkers(w http.ResponseWriter, r *http.Request) {
 // handleClusterMetrics serves the federated exposition page: every
 // worker's last shipped snapshot re-rendered as one scrape with an
 // `instance` label per sample. The coordinator's own metrics stay on
-// /metrics — the two pages answer different questions.
+// /v1/metrics — the two pages answer different questions.
 func (s *server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.cl.fed.WritePrometheus(w); err != nil {
-		s.logf("cluster metrics write: %v", err)
+		s.log.Warn("cluster metrics write failed", "err", err)
 	}
 }
 
@@ -572,7 +569,7 @@ func (s *server) sweepLeases() {
 		case now := <-t.C:
 			lapsed, err := s.q.ExpireLeases(now)
 			if err != nil {
-				s.logf("lease sweep: %v", err)
+				s.log.Error("lease sweep failed", "err", err)
 				continue
 			}
 			for _, job := range lapsed {
@@ -588,7 +585,6 @@ func (s *server) sweepLeases() {
 					st.bumpLocked()
 					st.mu.Unlock()
 				}
-				s.logf("campaign %s: lease expired on worker %s; requeued", job.ID, job.LeaseOwner)
 				s.logTransition(job.ID, "running", "queued",
 					"reason", "lease expired", "worker", job.LeaseOwner, "attempt", job.Attempts)
 			}

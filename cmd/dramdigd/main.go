@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dramdigd [-addr :8080] [-cache-dir DIR] [-trace-dir DIR] [-queue-dir DIR]
-//	         [-workers N] [-retries N] [-max-running N] [-max-queued N] [-v]
+//	         [-workers N] [-retries N] [-max-running N] [-max-queued N]
 //	         [-pprof-addr :6060] [-log-format text|json] [-log-level info]
 //	         [-trace-spans N] [-trace-slow-threshold DUR]
 //	         [-store-max-bytes N] [-store-gc-interval 1m] [-store-gc-grace 5m]
@@ -28,7 +28,7 @@
 //	GET    /v1/queue                   queue depth, running campaigns, capacity, drain flag
 //	GET    /v1/workers                 cluster worker registry: liveness, leases, shard shares
 //	GET    /v1/healthz                 liveness + queue depth, cache entries, full statistics
-//	GET    /v1/metrics                 Prometheus text exposition of every layer's metrics (alias /metrics)
+//	GET    /v1/metrics                 Prometheus text exposition of every layer's metrics
 //
 // The /v1/cluster routes (lease, heartbeat, complete, fail, result and
 // trace upload) serve dramdig-worker processes; see README "Running a
@@ -37,13 +37,11 @@
 //
 // Every response carries X-Request-Id (client-supplied or minted) and
 // every request produces one structured log line (-log-format text|json,
-// -log-level). With -pprof-addr set, net/http/pprof serves on that
+// -log-level; debug adds progress notes such as checkpoint resumes).
+// With -pprof-addr set, net/http/pprof serves on that
 // separate listener — keep it on localhost.
 //
 // Errors share one envelope: {"error":{"code":"not_found","message":...}}.
-// The original unversioned routes still answer as deprecated aliases of
-// their /v1 successors (with Deprecation and Link headers); the aliases
-// do not honor Idempotency-Key.
 //
 // Campaigns flow through a durable job queue (internal/queue): POST
 // validates and enqueues, a scheduler drains the queue into the worker
@@ -112,7 +110,6 @@ func main() {
 		retries    = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
 		maxRun     = flag.Int("max-running", maxRunning, "concurrently executing campaigns; the rest wait in the queue")
 		maxQueued  = flag.Int("max-queued", 64, "pending campaign backlog before POSTs get 429")
-		verbose    = flag.Bool("v", false, "log progress to stderr")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty: off)")
 		logFormat  = flag.String("log-format", logging.FormatText, "structured log format: text or json")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
@@ -134,12 +131,6 @@ func main() {
 		fatal(fmt.Errorf("-dispatch %q: want local or remote", *dispatch))
 	}
 
-	logf := func(string, ...any) {}
-	if *verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "dramdigd: "+format+"\n", args...)
-		}
-	}
 	logger, err := logging.New(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		fatal(err)
@@ -185,7 +176,6 @@ func main() {
 		retries:    r,
 		tracing:    *traceDir != "",
 		maxRunning: *maxRun,
-		logf:       logf,
 		registry:   registry,
 		logger:     logger,
 		tracer:     tracer,

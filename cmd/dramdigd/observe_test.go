@@ -66,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	waitDone(t, srv, m["id"].(string))
 
-	out := scrape(t, srv, "/metrics") // alias serves the same registry
+	out := scrape(t, srv, "/v1/metrics")
 	for _, want := range []string{
 		`dramdig_http_requests_total{code="202",method="POST",route="/v1/campaigns"} 1`,
 		"dramdig_queue_submitted_total 1",
@@ -213,13 +213,6 @@ func TestHealthzBody(t *testing.T) {
 	}
 	if _, ok := m["cache_entries"].(float64); !ok {
 		t.Errorf("cache_entries missing or non-numeric: %v", m["cache_entries"])
-	}
-	// The deprecated alias keeps answering (with deprecation headers).
-	r := httptest.NewRequest("GET", "/healthz", nil)
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, r)
-	if w.Code != http.StatusOK || w.Header().Get("Deprecation") != "true" {
-		t.Errorf("deprecated /healthz: %d, Deprecation %q", w.Code, w.Header().Get("Deprecation"))
 	}
 }
 

@@ -6,10 +6,8 @@
 // The canonical surface lives under /v1 with a uniform error envelope
 // {"error":{"code":...,"message":...}}, campaign listing with
 // limit/offset pagination, and live progress streaming over SSE at
-// GET /v1/campaigns/{id}/events. The original unversioned routes remain
-// as thin deprecated aliases: same handlers, plus Deprecation and Link
-// (successor-version) headers — minus Idempotency-Key support, which is
-// a /v1-only contract.
+// GET /v1/campaigns/{id}/events. Every resource has exactly one route,
+// under /v1.
 //
 // Campaign execution is queue-driven: POST /v1/campaigns validates and
 // enqueues (202 with status "queued"), a scheduler goroutine drains the
@@ -59,13 +57,11 @@ type serverConfig struct {
 	// maxRunning bounds concurrently executing campaigns (default 8);
 	// everything beyond it waits in the queue.
 	maxRunning int
-	logf       func(format string, args ...any)
 	// registry collects every layer's metrics; nil gets a fresh registry
 	// (tests and main both scrape it via GET /v1/metrics).
 	registry *metrics.Registry
-	// logger receives structured request and campaign-transition logs;
-	// nil discards them. The printf-style logf above stays the legacy
-	// progress channel.
+	// logger receives structured request, campaign-transition and
+	// error logs; nil discards them.
 	logger *slog.Logger
 	// tracer records request-scoped spans across every layer; nil
 	// disables tracing (every instrumentation site degrades to a no-op).
@@ -97,7 +93,6 @@ type server struct {
 	q       *queue.Queue
 	baseCtx context.Context
 	cfg     serverConfig
-	logf    func(format string, args ...any)
 	log     *slog.Logger
 	// reg is the metrics registry every layer registers into; om, inst
 	// and cm are the daemon's own, the engine's and the campaign layer's
@@ -193,9 +188,6 @@ func (st *campaignState) bumpLocked() {
 }
 
 func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg serverConfig) *server {
-	if cfg.logf == nil {
-		cfg.logf = func(string, ...any) {}
-	}
 	if cfg.maxRunning <= 0 {
 		cfg.maxRunning = maxRunning
 	}
@@ -216,7 +208,6 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 		q:           q,
 		baseCtx:     baseCtx,
 		cfg:         cfg,
-		logf:        cfg.logf,
 		log:         cfg.logger,
 		reg:         cfg.registry,
 		ids:         logging.NewIDGen(),
@@ -277,16 +268,6 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 	// on one page, instance-labeled (cluster.go).
 	s.mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	s.mux.Handle("GET /v1/metrics", s.reg.Handler())
-	// /metrics is the conventional scrape path — an alias, not a
-	// deprecated route.
-	s.mux.Handle("GET /metrics", s.reg.Handler())
-	// Deprecated unversioned aliases of the /v1 routes.
-	s.mux.HandleFunc("POST /campaigns", deprecated(s.handleCreateCampaign))
-	s.mux.HandleFunc("GET /campaigns/{id}", deprecated(s.handleGetCampaign))
-	s.mux.HandleFunc("GET /campaigns/{id}/trace", deprecated(s.handleGetCampaignTrace))
-	s.mux.HandleFunc("GET /mappings/{fingerprint}", deprecated(s.handleGetMapping))
-	s.mux.HandleFunc("GET /traces/{fingerprint}", deprecated(s.handleGetTrace))
-	s.mux.HandleFunc("GET /healthz", deprecated(s.handleHealthz))
 
 	s.handler = s.observe(s.mux)
 
@@ -341,16 +322,6 @@ func (s *server) referencedFingerprints() map[string]bool {
 		}
 	}
 	return refs
-}
-
-// deprecated marks an unversioned alias: the handler answers as before,
-// with headers steering clients to the /v1 successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -429,7 +400,7 @@ func (s *server) recoverFromQueue() {
 		s.campaigns[job.ID] = st
 		s.order = append(s.order, job.ID)
 		if job.Recovered {
-			s.logf("campaign %s: recovered from queue (attempt %d)", job.ID, job.Attempts+1)
+			s.log.Debug("campaign recovered from queue", "campaign", job.ID, "attempt", job.Attempts+1)
 		}
 	}
 }
@@ -523,7 +494,7 @@ func (s *server) launchReady() {
 			s.running--
 			s.mu.Unlock()
 			if err != nil && !errors.Is(err, context.Canceled) {
-				s.logf("scheduler: dequeue: %v", err)
+				s.log.Error("scheduler dequeue failed", "err", err)
 			}
 			return
 		}
@@ -620,23 +591,23 @@ func (s *server) launch(job queue.Job, dequeued time.Time) {
 		OnCheckpoint: func(cp campaign.Checkpoint) {
 			data, err := json.Marshal(cp)
 			if err != nil {
-				s.logf("campaign %s: encode checkpoint: %v", job.ID, err)
+				s.log.Error("encode checkpoint failed", "campaign", job.ID, "err", err)
 				return
 			}
 			if err := s.q.Checkpoint(job.ID, data); err != nil {
-				s.logf("campaign %s: persist checkpoint: %v", job.ID, err)
+				s.log.Error("persist checkpoint failed", "campaign", job.ID, "err", err)
 			}
 		},
 	}
 	if len(job.Checkpoint) > 0 {
 		var cp campaign.Checkpoint
 		if err := json.Unmarshal(job.Checkpoint, &cp); err != nil {
-			s.logf("campaign %s: corrupt checkpoint ignored: %v", job.ID, err)
+			s.log.Warn("corrupt checkpoint ignored", "campaign", job.ID, "err", err)
 		} else if cp.Seed == p.Seed {
 			cfg.Resume = &cp
 			cfg.Restore = s.restoreFromStore
-			s.logf("campaign %s: resuming from checkpoint (%d/%d jobs done)",
-				job.ID, len(cp.Jobs), len(specList))
+			s.log.Debug("campaign resuming from checkpoint", "campaign", job.ID,
+				"done", len(cp.Jobs), "jobs", len(specList))
 		}
 	}
 	if s.cfg.tracing {
@@ -668,7 +639,6 @@ func (s *server) launch(job queue.Job, dequeued time.Time) {
 		s.finishJob(job.ID, st, specList, rep, err)
 	}()
 	dsp.End()
-	s.logf("campaign %s: started (%d jobs, attempt %d)", job.ID, len(specList), job.Attempts)
 	s.logTransition(job.ID, "queued", "running", "jobs", len(specList), "attempt", job.Attempts)
 }
 
@@ -676,7 +646,7 @@ func (s *server) launch(job queue.Job, dequeued time.Time) {
 func (s *server) failJob(id string, err error) {
 	s.freeSlot()
 	if qerr := s.q.Fail(id, err.Error()); qerr != nil {
-		s.logf("campaign %s: %v (and queue fail failed: %v)", id, err, qerr)
+		s.log.Error("queue fail failed", "campaign", id, "cause", err, "err", qerr)
 	}
 	s.mu.Lock()
 	st := s.campaigns[id]
@@ -688,7 +658,6 @@ func (s *server) failJob(id string, err error) {
 		st.bumpLocked()
 		st.mu.Unlock()
 	}
-	s.logf("campaign %s: failed: %v", id, err)
 	s.logTransition(id, "queued", "failed", "err", err.Error())
 }
 
@@ -705,12 +674,12 @@ func (s *server) finishJob(id string, st *campaignState, specList []campaign.Spe
 	switch {
 	case err == nil:
 		if qerr := s.q.Finish(id, s.encodeReport(rep)); qerr != nil {
-			s.logf("campaign %s: queue finish: %v", id, qerr)
+			s.log.Error("queue finish failed", "campaign", id, "err", qerr)
 		}
 	case cancelled:
 		status, errMsg = "cancelled", "cancelled by client"
 		if qerr := s.q.Cancelled(id, errMsg); qerr != nil {
-			s.logf("campaign %s: queue cancel: %v", id, qerr)
+			s.log.Error("queue cancel failed", "campaign", id, "err", qerr)
 		}
 	case s.baseCtx.Err() != nil:
 		// Daemon shutdown: the job stays in flight in the WAL — with its
@@ -719,7 +688,7 @@ func (s *server) finishJob(id string, st *campaignState, specList []campaign.Spe
 	default:
 		status, errMsg = "failed", err.Error()
 		if qerr := s.q.Fail(id, errMsg); qerr != nil {
-			s.logf("campaign %s: queue fail: %v", id, qerr)
+			s.log.Error("queue fail failed", "campaign", id, "err", qerr)
 		}
 	}
 
@@ -732,7 +701,6 @@ func (s *server) finishJob(id string, st *campaignState, specList []campaign.Spe
 	s.mu.Lock()
 	s.evictLocked()
 	s.mu.Unlock()
-	s.logf("campaign %s: %s (%d jobs)", id, status, len(specList))
 	attrs := []any{"jobs", len(specList)}
 	if errMsg != "" {
 		attrs = append(attrs, "err", errMsg)
@@ -748,7 +716,7 @@ func (s *server) encodeReport(rep *campaign.Report) json.RawMessage {
 	}
 	data, err := json.Marshal(reportToJSON(rep))
 	if err != nil {
-		s.logf("encode report: %v", err)
+		s.log.Error("encode report failed", "err", err)
 		return nil
 	}
 	return data
@@ -780,7 +748,7 @@ func (s *server) restoreFromStore(ctx context.Context, spec campaign.Spec, jc ca
 
 // --- request/response shapes -----------------------------------------
 
-// campaignRequest is the POST /campaigns body; the shape (with its
+// campaignRequest is the POST /v1/campaigns body; the shape (with its
 // customSpec machine definitions) lives in internal/cluster.
 type campaignRequest = cluster.CampaignRequest
 
@@ -821,12 +789,9 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Idempotency-Key is a /v1 contract; the deprecated unversioned
-	// alias ignores it (see MIGRATION.md).
-	var opts queue.SubmitOptions
-	opts.Priority = req.Priority
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		opts.IdempotencyKey = r.Header.Get("Idempotency-Key")
+	opts := queue.SubmitOptions{
+		Priority:       req.Priority,
+		IdempotencyKey: r.Header.Get("Idempotency-Key"),
 	}
 	// The queue record carries the request's trace context and ID so
 	// queue/scheduler/campaign spans and transition logs stay parented to
@@ -895,7 +860,6 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 			s.evictLocked()
 		}
 		s.mu.Unlock()
-		s.logf("campaign %s: queued %d jobs (priority %d)", job.ID, len(specList), job.Priority)
 		s.logTransition(job.ID, "", "queued", "jobs", len(specList), "priority", job.Priority)
 	}
 
@@ -955,14 +919,13 @@ func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 		st.errMsg = "cancelled by client"
 		st.bumpLocked()
 		st.mu.Unlock()
-		s.logf("campaign %s: cancelled while queued", id)
 		s.logTransition(id, "queued", "cancelled")
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
 	case "running":
 		if cancel != nil {
 			cancel()
 		}
-		s.logf("campaign %s: cancellation requested", id)
+		s.log.Debug("campaign cancellation requested", "campaign", id)
 		writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
 	default:
 		httpError(w, http.StatusConflict, codeConflict, "campaign %s already %s", id, status)
@@ -1296,7 +1259,7 @@ func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) 
 		if n, ok := s.st.StatTrace(fp); ok {
 			row.Available = true
 			row.Bytes = n
-			row.URL = fmt.Sprintf("/campaigns/%s/trace?job=%d", id, i)
+			row.URL = fmt.Sprintf("/v1/campaigns/%s/trace?job=%d", id, i)
 		}
 		index = append(index, row)
 	}
@@ -1308,7 +1271,7 @@ func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleGetTrace serves a stored trace directly by machine fingerprint,
-// the content-addressed sibling of GET /mappings/{fingerprint}.
+// the content-addressed sibling of GET /v1/mappings/{fingerprint}.
 func (s *server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {
@@ -1344,9 +1307,18 @@ func reportToJSON(rep *campaign.Report) *cluster.ReportJSON {
 func (s *server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	st, ok := s.campaigns[id]
+	st := s.campaigns[id]
 	s.mu.Unlock()
-	if !ok {
+	if st == nil {
+		// Eviction past maxCampaigns drops only terminal states, which the
+		// queue may still retain: answer from the job record, as a
+		// restarted daemon would. The rebuilt state is not re-inserted, so
+		// the memory bound holds.
+		if job, ok := s.q.Get(id); ok {
+			st = s.stateFromJob(job)
+		}
+	}
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -1376,8 +1348,8 @@ func (s *server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 // is the ETag: a client revalidating with If-None-Match gets 304 without
 // the store (or the disk) being consulted at all — if the client holds a
 // representation of this fingerprint, it is by construction current.
-// Cold misses are absorbed by the store's bounded negative-lookup cache,
-// so repeated probes for unknown fingerprints stay off the disk too.
+// A miss costs one in-memory index lookup in the store: unknown
+// fingerprints never touch the disk.
 func (s *server) handleGetMapping(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {
@@ -1447,8 +1419,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// v1 error codes. Every error response — on /v1 and the deprecated
-// aliases alike — carries the uniform envelope
+// v1 error codes. Every error response carries the uniform envelope
 // {"error":{"code":<code>,"message":<human text>}}.
 const (
 	codeBadRequest = "bad_request"

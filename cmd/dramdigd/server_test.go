@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,30 +42,39 @@ func newTestServerWith(t *testing.T, qcfg queue.Config, scfg serverConfig) *serv
 	if scfg.retries == 0 {
 		scfg.retries = 1
 	}
-	if scfg.logf == nil {
-		scfg.logf = testLogf(t)
+	if scfg.logger == nil {
+		scfg.logger = testLogger(t)
 	}
 	return newServer(ctx, st, q, scfg)
 }
 
-// testLogf adapts t.Logf for goroutines that may outlive the test body
-// (scheduler, campaign completions): once the test's cleanup phase
-// starts, messages are dropped instead of panicking the harness.
-func testLogf(t *testing.T) func(string, ...any) {
-	var mu sync.Mutex
-	finished := false
+// testLogger returns a debug-level logger writing to t.Log, safe for
+// goroutines that may outlive the test body (scheduler, campaign
+// completions): once the test's cleanup phase starts, lines are dropped
+// instead of panicking the harness.
+func testLogger(t *testing.T) *slog.Logger {
+	w := &testLogWriter{t: t}
 	t.Cleanup(func() {
-		mu.Lock()
-		finished = true
-		mu.Unlock()
+		w.mu.Lock()
+		w.finished = true
+		w.mu.Unlock()
 	})
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !finished {
-			t.Logf(format, args...)
-		}
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+type testLogWriter struct {
+	t        *testing.T
+	mu       sync.Mutex
+	finished bool
+}
+
+func (w *testLogWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.finished {
+		w.t.Log(strings.TrimSuffix(string(p), "\n"))
 	}
+	return len(p), nil
 }
 
 func doJSON(t *testing.T, srv http.Handler, method, path, body string) (int, map[string]any) {
@@ -90,9 +100,9 @@ func waitDone(t *testing.T, srv http.Handler, id string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		code, m := doJSON(t, srv, "GET", "/campaigns/"+id, "")
+		code, m := doJSON(t, srv, "GET", "/v1/campaigns/"+id, "")
 		if code != http.StatusOK {
-			t.Fatalf("GET /campaigns/%s: %d %v", id, code, m)
+			t.Fatalf("GET /v1/campaigns/%s: %d %v", id, code, m)
 		}
 		if status, _ := m["status"].(string); terminalStatus(status) {
 			return m
@@ -115,25 +125,17 @@ func TestDaemonHandlerValidation(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/campaigns", "{not json", http.StatusBadRequest},
-		{"POST", "/campaigns", "{}", http.StatusBadRequest},                // no machine source
-		{"POST", "/campaigns", `{"machines":[12]}`, http.StatusBadRequest}, // unknown setting
-		{"POST", "/campaigns", `{"custom":[{"standard":"DDR9"}]}`, http.StatusBadRequest},
-		{"POST", "/campaigns", `{"generated":100000000}`, http.StatusBadRequest}, // job-count bomb
-		{"POST", "/campaigns", `{"machines":[1],"generated":256}`, http.StatusBadRequest},
-		{"POST", "/campaigns", `{"machines":[-1],"generated":-100}`, http.StatusBadRequest},                                  // negative offset trick
-		{"POST", "/campaigns", `{"machines":[1],` + strings.Repeat(`"x":"y",`, 200000) + `"seed":1}`, http.StatusBadRequest}, // >1MiB body
-		{"GET", "/campaigns/c999", "", http.StatusNotFound},
-		{"GET", "/mappings/zz", "", http.StatusBadRequest},
-		{"GET", "/mappings/" + strings.Repeat("a", 64), "", http.StatusNotFound},
+		// Malformed bodies, unknown settings, bad standards, job-count
+		// bombs and unknown resources are covered by TestV1Routes and
+		// TestV1ErrorEnvelope; these are the remaining request shapes.
+		{"POST", "/v1/campaigns", `{"machines":[1],"generated":256}`, http.StatusBadRequest},
+		{"POST", "/v1/campaigns", `{"machines":[-1],"generated":-100}`, http.StatusBadRequest},                                  // negative offset trick
+		{"POST", "/v1/campaigns", `{"machines":[1],` + strings.Repeat(`"x":"y",`, 200000) + `"seed":1}`, http.StatusBadRequest}, // >1MiB body
 	} {
 		code, m := doJSON(t, srv, tc.method, tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s %s: %d (want %d): %v", tc.method, tc.path, code, tc.want, m)
 		}
-	}
-	if code, m := doJSON(t, srv, "GET", "/healthz", ""); code != http.StatusOK || m["status"] != "ok" {
-		t.Errorf("healthz: %d %v", code, m)
 	}
 }
 
@@ -151,9 +153,9 @@ func TestDaemonCampaignLifecycleFake(t *testing.T) {
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
 	}
 
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1,2,3]}`)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1,2,3]}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("POST /campaigns: %d %v", code, m)
+		t.Fatalf("POST /v1/campaigns: %d %v", code, m)
 	}
 	id, _ := m["id"].(string)
 	if id == "" {
@@ -179,14 +181,14 @@ func TestDaemonCampaignLifecycleFake(t *testing.T) {
 // TestDaemonEndToEnd runs a real single-machine campaign twice: the first
 // run executes the pipeline and fills the store; the second is served
 // from cache, and the fingerprint from the report resolves through
-// GET /mappings/{fp}.
+// GET /v1/mappings/{fp}.
 func TestDaemonEndToEnd(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	post := func() map[string]any {
-		resp, err := http.Post(ts.URL+"/campaigns", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
 			strings.NewReader(`{"machines":[4],"seed":42}`))
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +218,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Cache lookup over real HTTP.
-	resp, err := http.Get(ts.URL + "/mappings/" + machineFP)
+	resp, err := http.Get(ts.URL + "/v1/mappings/" + machineFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /mappings: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/mappings: %d", resp.StatusCode)
 	}
 	if rec.Mapping == nil || rec.MachineName != "No.4" || !rec.Match {
 		t.Fatalf("cached record: %+v", rec)
@@ -260,7 +262,7 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: -1, logf: t.Logf})
+	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: -1, logger: testLogger(t)})
 
 	started := make(chan struct{})
 	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
@@ -268,7 +270,7 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 		<-ctx.Done()
 		return &campaign.Report{Total: len(specs)}, ctx.Err()
 	}
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST: %d %v", code, m)
 	}
@@ -282,7 +284,7 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 		t.Fatal("drain hung after context cancellation")
 	}
 	id := m["id"].(string)
-	final := doJSONmap(t, srv, "GET", "/campaigns/"+id)
+	final := doJSONmap(t, srv, "GET", "/v1/campaigns/"+id)
 	if final["status"] != "failed" {
 		t.Errorf("cancelled campaign status %v, want failed", final["status"])
 	}
@@ -304,14 +306,17 @@ func doJSONmap(t *testing.T, srv http.Handler, method, path string) map[string]a
 
 // TestDaemonCampaignEviction: a long-lived daemon caps retained finished
 // campaigns at maxCampaigns, oldest first, and keeps serving the newest.
+// A campaign evicted from memory but still retained by the queue answers
+// from its job record; one past the queue's KeepTerminal is gone.
 func TestDaemonCampaignEviction(t *testing.T) {
-	srv := newTestServer(t)
+	const keep = maxCampaigns + 5
+	srv := newTestServerWith(t, queue.Config{KeepTerminal: keep}, serverConfig{})
 	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
 	}
 	var lastID string
 	for i := 0; i < maxCampaigns+10; i++ {
-		code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+		code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST %d: %d %v", i, code, m)
 		}
@@ -324,11 +329,48 @@ func TestDaemonCampaignEviction(t *testing.T) {
 	if n > maxCampaigns+1 {
 		t.Errorf("%d campaigns retained, want <= %d", n, maxCampaigns+1)
 	}
-	if code, _ := doJSON(t, srv, "GET", "/campaigns/"+lastID, ""); code != http.StatusOK {
+	if code, _ := doJSON(t, srv, "GET", "/v1/campaigns/"+lastID, ""); code != http.StatusOK {
 		t.Errorf("newest campaign evicted")
 	}
-	if code, _ := doJSON(t, srv, "GET", "/campaigns/c1", ""); code != http.StatusNotFound {
-		t.Errorf("oldest campaign not evicted")
+	// c7 left the in-memory map but not the queue's terminal history.
+	code, m := doJSON(t, srv, "GET", "/v1/campaigns/c7", "")
+	if code != http.StatusOK || m["status"] != "done" {
+		t.Errorf("evicted campaign still in the queue: %d %v, want 200 done", code, m)
+	}
+	srv.mu.Lock()
+	_, reinserted := srv.campaigns["c7"]
+	srv.mu.Unlock()
+	if reinserted {
+		t.Error("GET re-inserted an evicted campaign state")
+	}
+	// c1 is past KeepTerminal: the queue dropped it too.
+	if code, _ := doJSON(t, srv, "GET", "/v1/campaigns/c1", ""); code != http.StatusNotFound {
+		t.Errorf("campaign past KeepTerminal: %d, want 404", code)
+	}
+}
+
+// TestDaemonCustomMachineCampaign runs a real campaign over a custom
+// machine written in setting No.1's notation: it must build, run and
+// recover the ground-truth mapping.
+func TestDaemonCustomMachineCampaign(t *testing.T) {
+	srv := newTestServer(t)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"custom":[{
+		"name": "custom-no1", "microarch": "Sandy Bridge", "cpu": "i5-2400",
+		"standard": "DDR3", "mem_bytes": 8589934592,
+		"channels": 2, "dimms_per_channel": 1, "ranks_per_dimm": 1, "banks_per_rank": 8,
+		"chip": "MT41K512M8",
+		"bank_funcs": "(6), (14, 17), (15, 18), (16, 19)",
+		"row_bits": "17~32", "col_bits": "0~5, 7~13"}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: %d %v", code, m)
+	}
+	final := waitDone(t, srv, m["id"].(string))
+	if final["status"] != "done" {
+		t.Fatalf("custom campaign: %v", final)
+	}
+	job := final["report"].(map[string]any)["jobs"].([]any)[0].(map[string]any)
+	if job["ok"] != true || job["match"] != true {
+		t.Fatalf("custom job: %v", job)
 	}
 }
 
@@ -347,7 +389,7 @@ func TestDaemonBackpressure(t *testing.T) {
 	}
 
 	// First campaign occupies the single running slot...
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST 0: %d %v", code, m)
 	}
@@ -356,7 +398,7 @@ func TestDaemonBackpressure(t *testing.T) {
 
 	// Two more fill the pending backlog; both are accepted as queued.
 	for i := 1; i <= 2; i++ {
-		code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+		code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST %d: %d %v", i, code, m)
 		}
@@ -387,7 +429,7 @@ func TestDaemonBackpressure(t *testing.T) {
 			t.Errorf("campaign %s: %v", id, final["status"])
 		}
 	}
-	if code, _ := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`); code != http.StatusAccepted {
+	if code, _ := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`); code != http.StatusAccepted {
 		t.Errorf("POST after backlog drained rejected: %d", code)
 	}
 }

@@ -83,34 +83,6 @@ func TestMappingETagAndConditionalGet(t *testing.T) {
 	}
 }
 
-func TestMappingRepeatedMissesHitNegativeCache(t *testing.T) {
-	st, err := store.Open(store.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	q, err := queue.Open(queue.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	srv := newServer(ctx, st, q, serverConfig{workers: 1, retries: 1, logf: testLogf(t)})
-
-	missing := fmt.Sprintf("%064x", 0x404)
-	for i := 0; i < 3; i++ {
-		r := httptest.NewRequest("GET", "/v1/mappings/"+missing, nil)
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, r)
-		if w.Code != http.StatusNotFound {
-			t.Fatalf("miss %d = %d", i, w.Code)
-		}
-	}
-	if hits := st.StatsSnapshot().NegativeCacheHits; hits < 2 {
-		t.Fatalf("negative cache hits = %d, want >= 2", hits)
-	}
-}
-
 func TestDaemonGCReapsOrphanedTraces(t *testing.T) {
 	// End-to-end orphan reclamation: a trace whose job the queue no
 	// longer retains disappears; a trace referenced by a retained job
@@ -131,7 +103,7 @@ func TestDaemonGCReapsOrphanedTraces(t *testing.T) {
 		retries:    1,
 		tracing:    true,
 		gcInterval: 10 * time.Millisecond,
-		logf:       testLogf(t),
+		logger:     testLogger(t),
 	})
 
 	// Two campaigns over distinct machines; finishing the second evicts

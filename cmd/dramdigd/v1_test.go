@@ -1,8 +1,8 @@
 // Contract tests for the versioned daemon surface. Everything here is
 // named TestV1* so CI can run the v1 contract in isolation
 // (go test ./cmd/dramdigd -run TestV1): every /v1 route, the uniform
-// error envelope, the pagination bounds, the deprecated unversioned
-// aliases and one live SSE progress stream.
+// error envelope, the pagination bounds, the absence of unversioned
+// routes and one live SSE progress stream.
 
 package main
 
@@ -100,6 +100,21 @@ func TestV1Routes(t *testing.T) {
 		}
 		if tc.errCode != "" {
 			envelope(t, m, tc.errCode)
+		}
+	}
+
+	// One route per resource: the unversioned paths are not served.
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/healthz"},
+		{"POST", "/campaigns"},
+		{"GET", "/campaigns/" + id},
+		{"GET", "/mappings/" + strings.Repeat("a", 64)},
+		{"GET", "/metrics"},
+	} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(`{"machines":[1]}`)))
+		if w.Code != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", tc.method, tc.path, w.Code)
 		}
 	}
 }
@@ -214,42 +229,6 @@ func TestV1Pagination(t *testing.T) {
 		}
 		envelope(t, m, "bad_request")
 	}
-}
-
-// TestV1DeprecatedAliases: every unversioned route still answers,
-// carries Deprecation and successor-version Link headers, and uses the
-// same error envelope.
-func TestV1DeprecatedAliases(t *testing.T) {
-	srv := newTestServer(t)
-	stubRunner(t, srv)
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /campaigns: %d %v", code, m)
-	}
-	id := m["id"].(string)
-	waitDone(t, srv, id)
-
-	for _, path := range []string{"/campaigns/" + id, "/campaigns/" + id + "/trace", "/healthz"} {
-		r := httptest.NewRequest("GET", path, nil)
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			t.Errorf("GET %s: %d", path, w.Code)
-		}
-		if w.Header().Get("Deprecation") != "true" {
-			t.Errorf("GET %s: no Deprecation header", path)
-		}
-		if link := w.Header().Get("Link"); !strings.Contains(link, "</v1"+path+">") {
-			t.Errorf("GET %s: Link %q lacks the /v1 successor", path, link)
-		}
-	}
-
-	// The alias shares the envelope contract.
-	code, m = doJSON(t, srv, "GET", "/campaigns/c999", "")
-	if code != http.StatusNotFound {
-		t.Fatalf("GET /campaigns/c999: %d", code)
-	}
-	envelope(t, m, "not_found")
 }
 
 // TestV1Events consumes one SSE progress stream end to end: recorded
@@ -440,13 +419,6 @@ func TestV1Idempotency(t *testing.T) {
 		map[string]string{"Idempotency-Key": "other"})
 	if m3["id"] == id {
 		t.Error("distinct keys shared a campaign")
-	}
-
-	// The unversioned alias has no idempotency contract: same key, new
-	// campaign (see MIGRATION.md).
-	_, m4 := postJSON(t, srv, "POST", "/campaigns", `{"machines":[1,2]}`, hdr)
-	if m4["id"] == id {
-		t.Error("deprecated alias honored Idempotency-Key")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"dramdig/internal/campaign"
+	"dramdig/internal/dram"
 	"dramdig/internal/machine"
 	"dramdig/internal/specs"
 	"dramdig/internal/sysinfo"
@@ -68,10 +69,13 @@ func (c CustomSpec) definition() (machine.Definition, error) {
 		BankFuncs: c.BankFuncs,
 		RowBits:   c.RowBits,
 		ColBits:   c.ColBits,
+		// Rowhammer susceptibility is not part of the request shape; an
+		// invulnerable device passes validation, as for generated machines.
+		Vuln: dram.Invulnerable,
 	}, nil
 }
 
-// CampaignRequest is the POST /campaigns body. At least one machine
+// CampaignRequest is the POST /v1/campaigns body. At least one machine
 // source must be present; sources combine into one campaign.
 type CampaignRequest struct {
 	// Machines lists paper setting numbers (1-9); -1 expands to all nine.

@@ -11,9 +11,9 @@
 // keyspace inside append-only segment files under <dir>/segments:
 // "result/<fp>" holds the record JSON, "trace/<fp>" the trace stream.
 // The legacy flat layout (<fp>.json / <fp>.trace, one file per
-// fingerprint) auto-migrates into segments the first time a store opens
-// over an old directory, and any flat files that appear later are still
-// readable — lookups fall back to them after a segment miss. A background
+// fingerprint) migrates into segments whenever a store opens over it;
+// reads consult the segments only, so a flat file that appears while the
+// store is open stays invisible until the next Open. A background
 // GC (StartGC) reclaims orphaned traces, enforces the optional disk-size
 // bound, and compacts dead segments. With no directory configured at all,
 // traces live in a bounded in-memory tier as before.
@@ -96,10 +96,6 @@ const (
 func resultKey(fp string) string { return resultPrefix + fp }
 func traceKey(fp string) string  { return tracePrefix + fp }
 
-// negCacheCap bounds the negative-lookup cache (fingerprints known to be
-// absent from every tier, so repeated misses skip the legacy disk probe).
-const negCacheCap = 4096
-
 // Config tunes a store.
 type Config struct {
 	// Dir enables result persistence under this directory; empty keeps
@@ -144,9 +140,6 @@ type Stats struct {
 	// tier — requests for fingerprints the store has never seen (distinct
 	// from GetOrCompute misses, which turn into computes).
 	NegativeLookups uint64 `json:"negative_lookups"`
-	// NegativeCacheHits counts lookups answered by the bounded
-	// negative-lookup cache without touching the disk.
-	NegativeCacheHits uint64 `json:"negative_cache_hits"`
 	// Disk-tier shape: live blobs, segment files, and their total bytes.
 	DiskBlobs int   `json:"disk_blobs"`
 	DiskBytes int64 `json:"disk_bytes"`
@@ -174,10 +167,6 @@ type Store struct {
 	blob           *storage.BlobStore
 	persistResults bool // results persist only when Dir was set
 	gcGrace        time.Duration
-
-	// Bounded negative-lookup cache: blob keys proven absent everywhere.
-	negCache      map[string]struct{}
-	negCacheOrder []string
 
 	// Disk-tier latency histograms; nil (no-op) until RegisterMetrics.
 	diskRead  *metrics.Histogram
@@ -226,7 +215,6 @@ func Open(cfg Config) (*Store, error) {
 		flight:         make(map[string]*flightCall),
 		persistResults: cfg.Dir != "",
 		gcGrace:        cfg.GCGrace,
-		negCache:       make(map[string]struct{}),
 		traceDir:       traceDir,
 		memTraces:      make(map[string][]byte),
 		memTraceAt:     make(map[string]time.Time),
@@ -484,8 +472,6 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.StatsSnapshot().PersistErrors) })
 	r.CounterFunc("dramdig_store_negative_lookups_total", "Get calls for fingerprints the store has never seen.", nil,
 		func() float64 { return float64(s.StatsSnapshot().NegativeLookups) })
-	r.CounterFunc("dramdig_store_negative_cache_hits_total", "Misses answered by the negative-lookup cache without touching disk.", nil,
-		func() float64 { return float64(s.StatsSnapshot().NegativeCacheHits) })
 	r.GaugeFunc("dramdig_store_entries", "Records in the in-memory LRU tier.", nil,
 		func() float64 { return float64(s.Len()) })
 	r.GaugeFunc("dramdig_store_disk_bytes", "Total bytes in the segment files of the disk tier.", nil,
@@ -527,38 +513,10 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// --- negative-lookup cache ---------------------------------------------
-
-// negCacheHasLocked reports whether key was already proven absent.
-func (s *Store) negCacheHasLocked(key string) bool {
-	_, ok := s.negCache[key]
-	if ok {
-		s.stats.NegativeCacheHits++
-	}
-	return ok
-}
-
-func (s *Store) negCacheAddLocked(key string) {
-	if _, ok := s.negCache[key]; ok {
-		return
-	}
-	s.negCache[key] = struct{}{}
-	s.negCacheOrder = append(s.negCacheOrder, key)
-	for len(s.negCacheOrder) > negCacheCap {
-		evict := s.negCacheOrder[0]
-		s.negCacheOrder = s.negCacheOrder[1:]
-		delete(s.negCache, evict)
-	}
-}
-
-func (s *Store) negCacheDropLocked(key string) {
-	delete(s.negCache, key)
-}
-
 // --- result tier -------------------------------------------------------
 
-// getLocked consults the LRU, then the segment keyspace, then the legacy
-// flat layout, promoting what it finds.
+// getLocked consults the LRU, then the segment keyspace, promoting a
+// disk hit into the LRU.
 func (s *Store) getLocked(fp string) (*Record, error) {
 	if el, ok := s.items[fp]; ok {
 		s.ll.MoveToFront(el)
@@ -571,20 +529,6 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 		data, ok, err := s.blob.Get(key)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
-		}
-		if !ok && !s.negCacheHasLocked(key) {
-			// Legacy flat layout: a <fp>.json dropped into the directory
-			// after Open is still honored. The negative cache keeps
-			// repeated misses off the disk.
-			data, err = os.ReadFile(s.flatPath(fp))
-			if os.IsNotExist(err) {
-				data, err = nil, nil
-				s.negCacheAddLocked(key)
-			} else if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			} else {
-				ok = true
-			}
 		}
 		if ok {
 			// Only successful reads are observed: index misses return in
@@ -602,11 +546,9 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 				return nil, fmt.Errorf("store: corrupt record %s: %w", fp, verr)
 			}
 			s.stats.Hits++
-			// Promote to memory (and into segments, when the hit came
-			// from a legacy flat file).
-			if perr := s.putLocked(&rec, true); perr != nil {
-				return nil, perr
-			}
+			// The record is already in the segments: promote it to
+			// memory only. That path of putLocked cannot fail.
+			_ = s.putLocked(&rec, false)
 			return &rec, nil
 		}
 	}
@@ -642,14 +584,8 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 			return fmt.Errorf("store: %w", err)
 		}
 		s.diskWrite.Observe(time.Since(writeStart).Seconds())
-		s.negCacheDropLocked(key)
 	}
 	return nil
-}
-
-// flatPath is where the legacy one-file-per-record layout kept fp.
-func (s *Store) flatPath(fp string) string {
-	return filepath.Join(s.dir, fp+".json")
 }
 
 // --- iteration ---------------------------------------------------------
@@ -780,20 +716,6 @@ func (s *Store) StartGC(ctx context.Context, interval time.Duration, referenced 
 
 // --- trace tier --------------------------------------------------------
 
-// TracePath returns where a fingerprint's trace persisted under the
-// legacy flat layout, or "" now that traces live inside the shared
-// segment keyspace (use GetTrace/StatTrace for access).
-func (s *Store) TracePath(fp string) string {
-	if s.traceDir == "" {
-		return ""
-	}
-	p := filepath.Join(s.traceDir, fp+".trace")
-	if _, err := os.Stat(p); err == nil {
-		return p
-	}
-	return ""
-}
-
 // TraceWriter returns a sink that stores the bytes written to it as the
 // fingerprint's trace when closed. The trace appears under its content
 // address only on Close — a crashed recording never leaves a half trace
@@ -825,13 +747,11 @@ func (s *Store) putTraceBytes(fp string, data []byte) error {
 		s.putMemTrace(fp, data)
 		return nil
 	}
-	key := traceKey(fp)
 	s.mu.Lock()
 	writeStart := time.Now()
-	err := s.blob.Put(key, data)
+	err := s.blob.Put(traceKey(fp), data)
 	if err == nil {
 		s.diskWrite.Observe(time.Since(writeStart).Seconds())
-		s.negCacheDropLocked(key)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -851,32 +771,11 @@ func (s *Store) GetTrace(fp string) ([]byte, bool, error) {
 		s.mu.Unlock()
 		return data, ok, nil
 	}
-	key := traceKey(fp)
-	data, ok, err := s.blob.Get(key)
+	data, ok, err := s.blob.Get(traceKey(fp))
 	if err != nil {
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	if ok {
-		return data, true, nil
-	}
-	s.mu.Lock()
-	skip := s.negCacheHasLocked(key)
-	s.mu.Unlock()
-	if skip {
-		return nil, false, nil
-	}
-	// Legacy flat layout fallback.
-	data, err = os.ReadFile(filepath.Join(s.traceDir, fp+".trace"))
-	if os.IsNotExist(err) {
-		s.mu.Lock()
-		s.negCacheAddLocked(key)
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	return data, true, nil
+	return data, ok, nil
 }
 
 // StatTrace reports whether a trace exists for the fingerprint and its
@@ -891,14 +790,7 @@ func (s *Store) StatTrace(fp string) (int64, bool) {
 		s.mu.Unlock()
 		return int64(len(data)), ok
 	}
-	if size, ok := s.blob.Stat(traceKey(fp)); ok {
-		return size, true
-	}
-	fi, err := os.Stat(filepath.Join(s.traceDir, fp+".trace"))
-	if err != nil {
-		return 0, false
-	}
-	return fi.Size(), true
+	return s.blob.Stat(traceKey(fp))
 }
 
 // putMemTrace inserts into the bounded in-memory tier, evicting the

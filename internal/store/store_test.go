@@ -243,15 +243,18 @@ func TestStoreComputeErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsCorruptDiskRecord: a corrupt legacy flat file migrates
+// byte-for-byte on Open, and the segment read still rejects it.
 func TestStoreRejectsCorruptDiskRecord(t *testing.T) {
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fp(3)+".json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, fp(3)+".json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	defer st.Close()
 	if _, _, err := st.Get(fp(3)); err == nil {
 		t.Error("corrupt record served without error")
 	}
@@ -271,12 +274,9 @@ func TestStoreComputeKeyMismatch(t *testing.T) {
 
 func TestStoreRejectsMiskeyedDiskRecord(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop a legacy flat file whose content is keyed by a different
-	// fingerprint (e.g. an operator renaming cache files by hand).
+	// A legacy flat file whose content is keyed by a different
+	// fingerprint (e.g. an operator renaming cache files by hand)
+	// migrates under its file name on Open.
 	data, err := json.Marshal(testRecord(t, fp(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +284,11 @@ func TestStoreRejectsMiskeyedDiskRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, fp(2)+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	st, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	if _, _, err := st.Get(fp(2)); err == nil {
 		t.Error("mis-keyed disk record served without error")
 	}
@@ -327,11 +332,8 @@ func TestStoreTraceTierDisk(t *testing.T) {
 	if n, ok := s.StatTrace(key); !ok || n != int64(len(payload)) {
 		t.Fatalf("StatTrace = %d,%v", n, ok)
 	}
-	// Traces live inside the shared segment keyspace now, so there is no
-	// per-trace flat path and no stray files in the trace directory.
-	if p := s.TracePath(key); p != "" {
-		t.Fatalf("segment-backed store reports flat trace path %q", p)
-	}
+	// Traces live inside the shared segment keyspace, so the trace
+	// directory holds no stray files.
 	entries, err := os.ReadDir(filepath.Join(dir, "traces"))
 	if err != nil {
 		t.Fatal(err)
@@ -361,9 +363,6 @@ func TestStoreTraceTierMemory(t *testing.T) {
 	s, err := Open(Config{MaxEntries: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.TracePath(fp(1)) != "" {
-		t.Fatal("memory store reports a trace path")
 	}
 	for i := 1; i <= 3; i++ {
 		if err := s.PutTrace(fp(i), []byte{byte(i)}); err != nil {
